@@ -16,7 +16,6 @@ from repro.core.config import ModelConfig
 from repro.nn import (
     BatchNorm2d,
     Conv2d,
-    Identity,
     LeakyReLU,
     Module,
     ModuleList,
@@ -34,15 +33,20 @@ class PatchGANDiscriminator(Module):
                  rng: np.random.Generator | None = None):
         super().__init__()
         self.config = config
-        layers = []
+        self.features = ModuleList()
         in_channels = 2  # program levels + voltage levels
         for index, out_channels in enumerate(config.discriminator_channels):
-            layers.append(Conv2d(in_channels, out_channels, 4, stride=2,
-                                 padding=1, rng=rng))
-            layers.append(BatchNorm2d(out_channels) if index > 0 else Identity())
-            layers.append(LeakyReLU(0.2))
+            conv = Conv2d(in_channels, out_channels, 4, stride=2, padding=1,
+                          rng=rng)
+            # The BatchNorm applies the LeakyReLU itself; the first layer
+            # has no normalisation, so it takes the bare activation.
+            activation = BatchNorm2d(out_channels, activation=0.2) \
+                if index > 0 else LeakyReLU(0.2)
+            # Slots 3*i and 3*i+1 keep the parameter names of the former
+            # (conv, norm, activation) triples, so older checkpoints load.
+            self.features.add_module(str(3 * index), conv)
+            self.features.add_module(str(3 * index + 1), activation)
             in_channels = out_channels
-        self.features = ModuleList(layers)
         # Final C1 layer producing one logit per patch (no normalisation).
         self.head = Conv2d(in_channels, 1, 4, stride=1, padding=1, rng=rng)
 

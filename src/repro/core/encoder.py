@@ -34,14 +34,14 @@ class ResidualBlock(Module):
     def __init__(self, channels: int, rng: np.random.Generator | None = None):
         super().__init__()
         self.conv1 = Conv2d(channels, channels, 3, stride=1, padding=1, rng=rng)
-        self.bn1 = BatchNorm2d(channels)
+        self.bn1 = BatchNorm2d(channels, activation=0.0)
         self.conv2 = Conv2d(channels, channels, 3, stride=1, padding=1, rng=rng)
         self.bn2 = BatchNorm2d(channels)
         self.activation = ReLU()
 
     def forward(self, x: Tensor) -> Tensor:
         residual = x
-        out = self.activation(self.bn1(self.conv1(x)))
+        out = self.bn1(self.conv1(x))
         out = self.bn2(self.conv2(out))
         return self.activation(out + residual)
 
@@ -57,13 +57,12 @@ class ResNetEncoder(Module):
         in_channels = 1 + config.pe_dim
         self.stem = Conv2d(in_channels, channels, 3, stride=1, padding=1,
                            rng=rng)
-        self.stem_bn = BatchNorm2d(channels)
+        self.stem_bn = BatchNorm2d(channels, activation=0.0)
         self.block1 = ResidualBlock(channels, rng=rng)
         self.block2 = ResidualBlock(channels, rng=rng)
         self.pool = GlobalAvgPool2d()
         self.fc_mu = Linear(channels, config.latent_dim, rng=rng)
         self.fc_logvar = Linear(channels, config.latent_dim, rng=rng)
-        self.activation = ReLU()
 
     def forward(self, voltages: Tensor,
                 pe_normalized: np.ndarray) -> tuple[Tensor, Tensor]:
@@ -78,7 +77,7 @@ class ResNetEncoder(Module):
         """
         pe_features = pe_feature_vector(pe_normalized, self.config.pe_dim)
         conditioned = concat_condition(voltages, pe_features)
-        out = self.activation(self.stem_bn(self.stem(conditioned)))
+        out = self.stem_bn(self.stem(conditioned))
         out = self.block1(out)
         out = self.block2(out)
         pooled = self.pool(out)

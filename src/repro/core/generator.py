@@ -28,7 +28,6 @@ from repro.nn import (
     BatchNorm2d,
     Conv2d,
     ConvTranspose2d,
-    Identity,
     LeakyReLU,
     Module,
     ModuleList,
@@ -42,7 +41,11 @@ __all__ = ["UNetGenerator"]
 
 
 class _DownBlock(Module):
-    """Convolution-BatchNorm-ReLU block of the Down part (stride 2)."""
+    """Convolution-BatchNorm-LeakyReLU block of the Down part (stride 2).
+
+    The BatchNorm applies the activation itself; the first block has no
+    normalisation, so its ``norm`` slot holds the bare LeakyReLU.
+    """
 
     def __init__(self, in_channels: int, out_channels: int,
                  use_batchnorm: bool = True,
@@ -50,15 +53,19 @@ class _DownBlock(Module):
         super().__init__()
         self.conv = Conv2d(in_channels, out_channels, 4, stride=2, padding=1,
                            rng=rng)
-        self.norm = BatchNorm2d(out_channels) if use_batchnorm else Identity()
-        self.activation = LeakyReLU(0.2)
+        self.norm = BatchNorm2d(out_channels, activation=0.2) \
+            if use_batchnorm else LeakyReLU(0.2)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.activation(self.norm(self.conv(x)))
+        return self.norm(self.conv(x))
 
 
 class _UpBlock(Module):
-    """Transposed-convolution-BatchNorm-ReLU block of the Up part (stride 2)."""
+    """Transposed-convolution-BatchNorm-ReLU block of the Up part (stride 2).
+
+    The BatchNorm applies the ReLU itself; the final block has no
+    normalisation, so its ``norm`` slot holds the output Tanh.
+    """
 
     def __init__(self, in_channels: int, out_channels: int,
                  use_batchnorm: bool = True, final: bool = False,
@@ -66,12 +73,15 @@ class _UpBlock(Module):
         super().__init__()
         self.conv = ConvTranspose2d(in_channels, out_channels, 4, stride=2,
                                     padding=1, rng=rng)
-        self.norm = BatchNorm2d(out_channels) if use_batchnorm and not final \
-            else Identity()
-        self.activation = Tanh() if final else ReLU()
+        if final:
+            self.norm = Tanh()
+        elif use_batchnorm:
+            self.norm = BatchNorm2d(out_channels, activation=0.0)
+        else:
+            self.norm = ReLU()
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.activation(self.norm(self.conv(x)))
+        return self.norm(self.conv(x))
 
 
 class UNetGenerator(Module):

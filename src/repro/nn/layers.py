@@ -16,10 +16,9 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn import init
-from repro.nn import lazy as _lazy
 from repro.nn.backend import get_backend
 from repro.nn.dtypes import get_default_dtype, resolve_dtype
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor, _activation_grad, is_grad_enabled
 
 __all__ = [
     "Module",
@@ -348,14 +347,26 @@ class ConvTranspose2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Batch normalisation over the channel dimension of NCHW tensors."""
+    """Batch normalisation over the channel dimension of NCHW tensors.
+
+    ``activation`` is the (leaky) ReLU that follows the normalisation, given
+    as its negative slope: ``None`` for no activation, ``0.0`` for ReLU and
+    e.g. ``0.2`` for LeakyReLU(0.2).  Owning the activation lets a training
+    step keep only the activated output: the normalised pre-activation is a
+    temporary, and backward rebuilds the activation's multiplier from the
+    output.  Every mode computes exactly what ``BatchNorm2d`` followed by
+    ``x.relu()`` / ``x.leaky_relu(slope)`` computes.
+    """
 
     def __init__(self, num_features: int, eps: float = 1e-5,
-                 momentum: float = 0.1):
+                 momentum: float = 0.1, activation: float | None = None):
         super().__init__()
+        if activation is not None and activation < 0:
+            raise ValueError("activation slope must be >= 0 (or None)")
         self.num_features = num_features
         self.eps = eps
         self.momentum = momentum
+        self.activation = activation
         dtype = get_default_dtype()
         self.weight = self.register_parameter("weight",
                                               Tensor.ones(num_features))
@@ -372,26 +383,30 @@ class BatchNorm2d(Module):
         if self.training:
             return self._train_forward(x)
         if not is_grad_enabled():
-            return self._eval_fast_forward(x)
+            return self._activate(self._eval_fast_forward(x))
         mean = Tensor(self._buffers["running_mean"].reshape(1, -1, 1, 1))
         var = Tensor(self._buffers["running_var"].reshape(1, -1, 1, 1))
         normalized = (x - mean) / ((var + self.eps) ** 0.5)
         weight = self.weight.reshape(1, self.num_features, 1, 1)
         bias = self.bias.reshape(1, self.num_features, 1, 1)
-        return normalized * weight + bias
+        return self._activate(normalized * weight + bias)
+
+    def _activate(self, out: Tensor) -> Tensor:
+        if self.activation is None:
+            return out
+        if self.activation == 0.0:
+            return out.relu()
+        return out.leaky_relu(self.activation)
 
     def _train_forward(self, x: Tensor) -> Tensor:
         """Closed-form train-mode path: one affine map, analytic backward.
 
-        The batch statistics force a realization barrier anyway (the mean
-        and variance need the values), so the normalization folds into a
-        single per-channel affine ``y = x * scale + shift`` — recordable
-        as a fused-chain stage both on no-grad rollouts and on the
-        training tape — with the textbook closed-form backward in place
-        of the generic autograd decomposition (which would materialize
-        five intermediates and their gradients).
+        The normalization folds into a single per-channel affine
+        ``y = x * scale + shift`` with the textbook closed-form backward in
+        place of the generic autograd decomposition (which would
+        materialize five intermediates and their gradients).
         """
-        x_data = x.data  # realization barrier
+        x_data = x.data
         mean = x_data.mean(axis=(0, 2, 3))
         var = x_data.var(axis=(0, 2, 3))
         momentum = self.momentum
@@ -403,39 +418,29 @@ class BatchNorm2d(Module):
         scale = self.weight.data * invstd
         shift = self.bias.data - mean * scale
         channel_shape = (1, -1, 1, 1)
-        if not is_grad_enabled():
-            if _lazy.is_lazy_enabled():
-                # Training-mode rollout under ``no_grad`` (the GAN's
-                # frozen phases): the affine is a plain lazy stage the
-                # realizer fuses with the surrounding chain.
-                node = _lazy.stage(_lazy.const(x_data), "affine",
-                                   (scale, shift))
-                return Tensor._from_lazy(node, "batchnorm_train")
-            data = x_data * scale.reshape(channel_shape) \
-                + shift.reshape(channel_shape)
-            return x._make_child(data, (x,), "batchnorm_train")
-        backend = get_backend()
+        data = x_data * scale.reshape(channel_shape) \
+            + shift.reshape(channel_shape)
         weight, bias = self.weight, self.bias
-        parents = (x, weight, bias)
-        if x._tape_recording() or (_lazy.is_lazy_enabled()
-                                   and (weight.requires_grad
-                                        or bias.requires_grad)):
-            out = x._tape_child("affine", (scale, shift), "batchnorm_train",
-                                extra_parents=(weight, bias))
-        else:
-            data = x_data * scale.reshape(channel_shape) \
-                + shift.reshape(channel_shape)
-            out = x._make_child(data, parents, "batchnorm_train")
-            if not out.requires_grad:
-                return out
+        if not (is_grad_enabled() and (x.requires_grad or weight.requires_grad
+                                       or bias.requires_grad)):
+            return self._activate(x._make_child(data, (x,),
+                                                "batchnorm_train"))
+        backend = get_backend()
+        slope = self.activation
+        if slope is not None:
+            # ``leaky_relu`` with slope 0 is ``x * (x > 0)`` bit for bit.
+            data = backend.leaky_relu(data, slope)
+        out = x._make_child(data, (x, weight, bias), "batchnorm_train")
         x_needs = x.requires_grad
         w_needs = weight.requires_grad
         b_needs = bias.requires_grad
         weight_data = weight.data
         m_count = x_data.size // x_data.shape[1]  # N*H*W per channel
 
-        def _backward():
+        def _backward(out):
             grad = out.grad
+            if slope is not None:
+                grad = _activation_grad(grad, out.data, slope)
             sum_g, sum_gx = backend.bn_bwd_reductions(grad, x_data, mean,
                                                       invstd)
             if b_needs and bias.requires_grad:
@@ -463,8 +468,6 @@ class BatchNorm2d(Module):
         scale = self.weight.data / np.sqrt(self._buffers["running_var"]
                                            + self.eps)
         shift = self.bias.data - self._buffers["running_mean"] * scale
-        if x._lazy_recording():
-            return x._lazy_stage("affine", (scale, shift), "batchnorm_eval")
         data = x.data * scale.reshape(1, -1, 1, 1) \
             + shift.reshape(1, -1, 1, 1)
         return x._make_child(data, (x,), "batchnorm_eval")

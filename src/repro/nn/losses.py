@@ -11,11 +11,9 @@ Loss values accumulate in float64 regardless of the activation dtype — the
 scalar is where float32 round-off would actually compound — while the
 gradients flowing back into the network keep the network's dtype.
 
-Reading ``prediction.data`` doubles as the realization barrier of the lazy
-tape (:mod:`repro.nn.lazy`): a fused training-path chain materializes here,
-and the closed-form gradient buffers are handed to the tape via
-``_accumulate_owned`` — they are freshly built, so the first accumulation
-adopts them without a defensive copy.
+The closed-form gradient buffers are freshly built, so they are handed over
+via ``_accumulate_owned`` and the first accumulation adopts them without a
+defensive copy.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     diff = prediction.data - target.data
     out = _scalar_node(get_backend().mean_squared(diff), (prediction,), "mse")
     if out.requires_grad:
-        def _backward():
+        def _backward(out):
             scale = diff.dtype.type(2.0 / diff.size) \
                 * diff.dtype.type(out.grad)
             prediction._accumulate_owned(_unbroadcast(diff * scale,
@@ -66,7 +64,7 @@ def l1_loss(prediction: Tensor, target: Tensor) -> Tensor:
     diff = prediction.data - target.data
     out = _scalar_node(get_backend().mean_abs(diff), (prediction,), "l1")
     if out.requires_grad:
-        def _backward():
+        def _backward(out):
             scale = diff.dtype.type(1.0 / diff.size) \
                 * diff.dtype.type(out.grad)
             prediction._accumulate_owned(_unbroadcast(np.sign(diff) * scale,
@@ -101,7 +99,7 @@ def bce_with_logits_loss(logits: Tensor, target_value: float) -> Tensor:
     out = _scalar_node(backend.bce_logits(x, float(target_value)),
                        (logits,), "bce_logits")
     if out.requires_grad:
-        def _backward():
+        def _backward(out):
             grad = backend.sigmoid(x)
             grad -= x.dtype.type(target_value)
             grad *= x.dtype.type(1.0 / x.size) * x.dtype.type(out.grad)
@@ -123,7 +121,7 @@ def gaussian_kl_loss(mu: Tensor, logvar: Tensor) -> Tensor:
     if out.requires_grad:
         batch = mu.shape[0]
 
-        def _backward():
+        def _backward(out):
             dtype = mu.data.dtype
             seed = dtype.type(out.grad)
             if mu.requires_grad:

@@ -2,8 +2,10 @@
 
 The engine is deliberately small: a :class:`Tensor` wraps an ``numpy.ndarray``
 and records, for every differentiable operation, a closure that accumulates
-gradients into its parents.  Calling :meth:`Tensor.backward` walks the recorded
-graph in reverse topological order.
+gradients into its parents.  The closure receives its output node as an
+argument rather than capturing it, so a graph holds no reference cycles and
+is freed by reference counting.  Calling :meth:`Tensor.backward` walks the
+recorded graph in reverse topological order.
 
 Broadcasting is fully supported: gradients flowing into a broadcast operand are
 reduced (summed) back to the operand's original shape by :func:`_unbroadcast`.
@@ -24,7 +26,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.nn import lazy as _lazy
 from repro.nn.backend import get_backend
 from repro.nn.dtypes import get_default_dtype
 
@@ -64,12 +65,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _scalar_or_none(value) -> float | None:
-    """``value`` as a Python float when it is a plain scalar, else None."""
-    if isinstance(value, (int, float)) or (np.isscalar(value)
-                                           and isinstance(value, np.number)):
-        return float(value)
-    return None
+def _activation_grad(grad: np.ndarray, out: np.ndarray,
+                     negative_slope: float) -> np.ndarray:
+    """Input gradient of a (leaky) ReLU, rebuilt from its output ``out``.
+
+    For a slope >= 0, ``out > 0`` exactly where the input was ``> 0``
+    (``-0.0`` and NaN included), so the forward pass keeps no mask.  The
+    multiplier is the one the input mask would give: ``grad * mask`` for
+    ReLU, ``grad * where(mask, 1, slope)`` for leaky ReLU.
+    """
+    mask = out > 0
+    if negative_slope == 0.0:
+        return grad * mask
+    return grad * np.where(mask, out.dtype.type(1.0),
+                           out.dtype.type(negative_slope))
 
 
 def _as_array(value, dtype=None) -> np.ndarray:
@@ -104,138 +113,16 @@ class Tensor:
         Optional explicit dtype for the wrapped array.
     """
 
-    __slots__ = ("_data", "_lazy", "grad", "requires_grad", "_backward",
-                 "_parents", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
+                 "_op")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype=dtype)
         self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
         self.grad: np.ndarray | None = None
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Tensor], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._op: str = ""
-
-    # ------------------------------------------------------------------ #
-    # Lazy-graph plumbing
-    # ------------------------------------------------------------------ #
-    @property
-    def data(self) -> np.ndarray:
-        """The wrapped array; reading it realizes a pending lazy graph.
-
-        This is the universal fallback barrier of :mod:`repro.nn.lazy`:
-        any operation the lazy recorder does not understand reads
-        ``.data``, which materializes the recorded graph (with fusion) and
-        continues eagerly.
-        """
-        if self._lazy is not None:
-            self._data = _lazy.realize(self._lazy)
-            self._lazy = None
-        return self._data
-
-    @data.setter
-    def data(self, value: np.ndarray) -> None:
-        self._data = value
-        self._lazy = None
-
-    @staticmethod
-    def _from_lazy(node, op: str = "") -> "Tensor":
-        """Wrap a recorded :class:`~repro.nn.lazy.LazyOp` (graph-free)."""
-        tensor = Tensor.__new__(Tensor)
-        tensor._data = None
-        tensor._lazy = node
-        tensor.requires_grad = False
-        tensor.grad = None
-        tensor._backward = None
-        tensor._parents = ()
-        tensor._op = op or node.op
-        return tensor
-
-    def _lazy_node(self):
-        """This tensor as a lazy node (a ``const`` leaf when eager)."""
-        return self._lazy if self._lazy is not None \
-            else _lazy.const(self._data)
-
-    def _lazy_recording(self) -> bool:
-        """Whether elementwise ops on this tensor extend a lazy chain."""
-        return (self._lazy is not None and not _GRAD_ENABLED
-                and _lazy.is_lazy_enabled())
-
-    def _lazy_stage(self, kind: str, params: tuple = (),
-                    op: str = "") -> "Tensor":
-        return Tensor._from_lazy(_lazy.stage(self._lazy, kind, params),
-                                 op or kind)
-
-    # ------------------------------------------------------------------ #
-    # Tape-mode recording (lazy realization with gradients enabled)
-    # ------------------------------------------------------------------ #
-    def _tape_recording(self) -> bool:
-        """Whether elementwise ops on this tensor record tape stages.
-
-        Inside :func:`~repro.nn.lazy.lazy_eval` with gradients enabled,
-        elementwise chains are recorded as lazy stage nodes — so the
-        forward pass fuses them into one ``fused_elementwise`` call at the
-        next realization barrier — while the autograd tape keeps one
-        lightweight node per stage (chain metadata, not materialized
-        intermediates); the backward pass lowers those nodes through the
-        fused backward kernels of the backend.
-
-        0-d tensors (loss scalars) never record: a one-element fused
-        kernel buys nothing, and the eager scalar path is already the
-        bit-exact reference.
-        """
-        return (_GRAD_ENABLED and self.requires_grad
-                and self.ndim > 0 and _lazy.is_lazy_enabled())
-
-    def _tape_child(self, kind: str, params: tuple, op: str,
-                    extra_parents: tuple = ()) -> "Tensor":
-        """A stage child that is simultaneously lazy and differentiable.
-
-        The child's ``_lazy`` extends this tensor's pending chain (or
-        starts a fresh one over the realized value); the caller installs
-        the matching ``_backward``.  Mid-chain children are never
-        materialized unless backward (or another consumer) actually reads
-        them — the saved-for-backward realization plan.
-        """
-        counters = get_backend().fusion_counters
-        if self._lazy is not None:
-            node = self._lazy
-        else:
-            node = _lazy.const(self._data)
-            counters["train_fwd_chains"] += 1
-        counters["train_fwd_stages"] += 1
-        child = Tensor.__new__(Tensor)
-        child._data = None
-        child._lazy = _lazy.stage(node, kind, params)
-        child.requires_grad = True
-        child.grad = None
-        child._backward = None
-        child._parents = (self,) + tuple(extra_parents)
-        child._op = op
-        return child
-
-    def _tape_multiplier_stage(self, kind: str, params: tuple = (),
-                               op: str = "") -> "Tensor":
-        """Record a stage whose input gradient is a pure multiplier.
-
-        Covers the activations whose mask is recoverable from the chain
-        *output* (leaky-ReLU / ReLU-as-slope-0 / tanh / sigmoid) and
-        scalar arithmetic; backward is one ``fused_elementwise_bwd`` call.
-        """
-        backend = get_backend()
-        child = self._tape_child(kind, params, op or kind)
-        stage_item = (kind, *params)
-        needs_output = kind in ("leaky_relu", "relu", "tanh", "sigmoid")
-
-        def _backward():
-            output = child.data if needs_output else None
-            grad_in = backend.fused_elementwise_bwd(child.grad, [stage_item],
-                                                    output)
-            if grad_in is child.grad:
-                self._accumulate(grad_in)
-            else:
-                self._accumulate_owned(grad_in)
-        child._backward = _backward
-        return child
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -287,33 +174,21 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    # Shape/dtype questions are answered from lazy-node metadata without
-    # realizing: model code branching on activation shapes (the U-Net's
-    # per-block spatial sizes) must not force materialization.
     @property
     def shape(self) -> tuple[int, ...]:
-        if self._lazy is not None:
-            return self._lazy.shape
-        return self._data.shape
+        return self.data.shape
 
     @property
     def ndim(self) -> int:
-        return len(self.shape)
+        return self.data.ndim
 
     @property
     def size(self) -> int:
-        if self._lazy is not None:
-            size = 1
-            for extent in self._lazy.shape:
-                size *= extent
-            return size
-        return self._data.size
+        return self.data.size
 
     @property
     def dtype(self):
-        if self._lazy is not None:
-            return self._lazy.dtype
-        return self._data.dtype
+        return self.data.dtype
 
     def numpy(self) -> np.ndarray:
         """Return the underlying array (detached view)."""
@@ -329,17 +204,14 @@ class Tensor:
     def astype(self, dtype) -> "Tensor":
         """Differentiable dtype cast (gradients are cast back on backward).
 
-        A same-dtype cast is the identity — no copy, no graph node — on
-        both the eager and the lazy path.
+        A same-dtype cast is the identity — no copy, no graph node.
         """
         dtype = np.dtype(dtype)
         if dtype == self.dtype:
             return self
-        if self._lazy_recording():
-            return self._lazy_stage("cast", (dtype,), "astype")
         out = self._make_child(self.data.astype(dtype), (self,), "astype")
         if out.requires_grad:
-            def _backward():
+            def _backward(out):
                 self._accumulate(out.grad)
             out._backward = _backward
         return out
@@ -372,9 +244,7 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         # Accumulation is dtype preserving: whatever dtype the incoming
         # gradient arrives with (e.g. the float64 scalar seeding a loss), the
-        # stored gradient keeps the tensor's own dtype.  ``self.dtype`` (not
-        # ``self.data.dtype``) so accumulating into a mid-chain tape tensor
-        # does not force its forward value to materialize.
+        # stored gradient keeps the tensor's own dtype.
         if self.grad is None:
             self.grad = np.array(grad, dtype=self.dtype, copy=True)
         else:
@@ -383,10 +253,10 @@ class Tensor:
     def _accumulate_owned(self, grad: np.ndarray) -> None:
         """Accumulate a gradient buffer the caller hands over.
 
-        The fused backward kernels of the tape path produce fresh arrays
-        nothing else references; adopting them in place of the defensive
-        first-accumulation copy is the tape's in-place grad accumulation.
-        Falls back to :meth:`_accumulate` whenever adoption would change
+        Closed-form backward kernels (conv input gradients, BatchNorm, the
+        fused losses) produce fresh arrays nothing else references;
+        adopting them skips the defensive first-accumulation copy.  Falls
+        back to :meth:`_accumulate` whenever adoption would change
         semantics (existing gradient, dtype/shape mismatch).
         """
         if (self.grad is None and isinstance(grad, np.ndarray)
@@ -401,6 +271,13 @@ class Tensor:
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Back-propagate from this tensor.
+
+        The graph is freed as it is consumed: every node behind this tensor
+        (this one included) loses its backward closure and its parents once
+        its gradient has been passed on, so the activations the closures
+        saved are released during the pass.  A second ``backward`` through
+        the same graph therefore reaches no further than its own tensor;
+        build the graph again instead.
 
         Parameters
         ----------
@@ -454,28 +331,21 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+        while topo:
+            node = topo.pop()
+            step, node._backward, node._parents = node._backward, None, ()
+            if step is not None and node.grad is not None:
+                step(node)
 
     # ------------------------------------------------------------------ #
     # Elementwise arithmetic
     # ------------------------------------------------------------------ #
     def __add__(self, other) -> "Tensor":
-        if self._lazy_recording():
-            scalar = _scalar_or_none(other)
-            if scalar is not None:
-                return self._lazy_stage("add_scalar", (scalar,), "add")
-        elif self._tape_recording():
-            scalar = _scalar_or_none(other)
-            if scalar is not None:
-                return self._tape_multiplier_stage("add_scalar", (scalar,),
-                                                   "add")
         other = Tensor._coerce(other, self.data.dtype)
         out = self._make_child(self.data + other.data, (self, other), "add")
 
         if out.requires_grad:
-            def _backward():
+            def _backward(out):
                 if self.requires_grad:
                     self._accumulate(_unbroadcast(out.grad, self.shape))
                 if other.requires_grad:
@@ -486,48 +356,24 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        if self._lazy_recording():
-            return self._lazy_stage("neg")
-        if self._tape_recording():
-            return self._tape_multiplier_stage("neg")
         out = self._make_child(-self.data, (self,), "neg")
         if out.requires_grad:
-            def _backward():
+            def _backward(out):
                 self._accumulate(-out.grad)
             out._backward = _backward
         return out
 
     def __sub__(self, other) -> "Tensor":
-        if self._lazy_recording():
-            scalar = _scalar_or_none(other)
-            if scalar is not None:
-                # Matches the eager x + (-s): dtype rounding is symmetric
-                # under negation, so casting -s equals negating cast s.
-                return self._lazy_stage("add_scalar", (-scalar,), "sub")
-        elif self._tape_recording():
-            scalar = _scalar_or_none(other)
-            if scalar is not None:
-                return self._tape_multiplier_stage("add_scalar", (-scalar,),
-                                                   "sub")
         return self + (-Tensor._coerce(other, self.data.dtype))
 
     def __rsub__(self, other) -> "Tensor":
         return Tensor._coerce(other, self.data.dtype) + (-self)
 
     def __mul__(self, other) -> "Tensor":
-        if self._lazy_recording():
-            scalar = _scalar_or_none(other)
-            if scalar is not None:
-                return self._lazy_stage("mul_scalar", (scalar,), "mul")
-        elif self._tape_recording():
-            scalar = _scalar_or_none(other)
-            if scalar is not None:
-                return self._tape_multiplier_stage("mul_scalar", (scalar,),
-                                                   "mul")
         other = Tensor._coerce(other, self.data.dtype)
         out = self._make_child(self.data * other.data, (self, other), "mul")
         if out.requires_grad:
-            def _backward():
+            def _backward(out):
                 if self.requires_grad:
                     self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
                 if other.requires_grad:
@@ -538,19 +384,10 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        if self._lazy_recording():
-            scalar = _scalar_or_none(other)
-            if scalar is not None:
-                return self._lazy_stage("div_scalar", (scalar,), "div")
-        elif self._tape_recording():
-            scalar = _scalar_or_none(other)
-            if scalar is not None:
-                return self._tape_multiplier_stage("div_scalar", (scalar,),
-                                                   "div")
         other = Tensor._coerce(other, self.data.dtype)
         out = self._make_child(self.data / other.data, (self, other), "div")
         if out.requires_grad:
-            def _backward():
+            def _backward(out):
                 if self.requires_grad:
                     self._accumulate(_unbroadcast(out.grad / other.data, self.shape))
                 if other.requires_grad:
@@ -567,7 +404,7 @@ class Tensor:
             raise TypeError("only scalar exponents are supported")
         out = self._make_child(self.data ** exponent, (self,), "pow")
         if out.requires_grad:
-            def _backward():
+            def _backward(out):
                 grad = out.grad * exponent * self.data ** (exponent - 1)
                 self._accumulate(grad)
             out._backward = _backward
@@ -579,7 +416,7 @@ class Tensor:
     def exp(self) -> "Tensor":
         out = self._make_child(get_backend().exp(self.data), (self,), "exp")
         if out.requires_grad:
-            def _backward():
+            def _backward(out):
                 self._accumulate(out.grad * out.data)
             out._backward = _backward
         return out
@@ -587,7 +424,7 @@ class Tensor:
     def log(self) -> "Tensor":
         out = self._make_child(get_backend().log(self.data), (self,), "log")
         if out.requires_grad:
-            def _backward():
+            def _backward(out):
                 self._accumulate(out.grad / self.data)
             out._backward = _backward
         return out
@@ -596,27 +433,19 @@ class Tensor:
         return self ** 0.5
 
     def tanh(self) -> "Tensor":
-        if self._lazy_recording():
-            return self._lazy_stage("tanh")
-        if self._tape_recording():
-            return self._tape_multiplier_stage("tanh")
         value = get_backend().tanh(self.data)
         out = self._make_child(value, (self,), "tanh")
         if out.requires_grad:
-            def _backward():
+            def _backward(out):
                 self._accumulate(out.grad * (1.0 - value ** 2))
             out._backward = _backward
         return out
 
     def sigmoid(self) -> "Tensor":
-        if self._lazy_recording():
-            return self._lazy_stage("sigmoid")
-        if self._tape_recording():
-            return self._tape_multiplier_stage("sigmoid")
         value = get_backend().sigmoid(self.data)
         out = self._make_child(value, (self,), "sigmoid")
         if out.requires_grad:
-            def _backward():
+            def _backward(out):
                 self._accumulate(out.grad * value * (1.0 - value))
             out._backward = _backward
         return out
@@ -632,42 +461,26 @@ class Tensor:
         return _GRAD_ENABLED and self.requires_grad
 
     def relu(self) -> "Tensor":
-        if self._lazy_recording():
-            return self._lazy_stage("relu")
         if not self._needs_graph():
             return self._make_child(get_backend().relu(self.data), (self,),
                                     "relu")
-        if self._tape_recording():
-            # Recorded as slope-0 leaky-ReLU: ``where(x > 0, x, x * 0)``
-            # reproduces the eager grad-mode ``x * mask`` bit for bit
-            # (including the sign of zero), where ``maximum(x, 0)`` would
-            # not; the backward mask is recovered from the chain output.
-            return self._tape_multiplier_stage("leaky_relu", (0.0,), "relu")
-        mask = self.data > 0
-        out = self._make_child(self.data * mask, (self,), "relu")
-        if out.requires_grad:
-            def _backward():
-                self._accumulate(out.grad * mask)
-            out._backward = _backward
+        out = self._make_child(self.data * (self.data > 0), (self,), "relu")
+
+        def _backward(out):
+            self._accumulate(_activation_grad(out.grad, out.data, 0.0))
+        out._backward = _backward
         return out
 
     def leaky_relu(self, negative_slope: float = 0.2) -> "Tensor":
-        if self._lazy_recording():
-            return self._lazy_stage("leaky_relu", (float(negative_slope),))
-        if not self._needs_graph():
-            return self._make_child(
-                get_backend().leaky_relu(self.data, negative_slope),
-                (self,), "leaky_relu")
-        if self._tape_recording():
-            return self._tape_multiplier_stage(
-                "leaky_relu", (float(negative_slope),))
-        mask = self.data > 0
-        scale = np.where(mask, self.data.dtype.type(1.0),
-                         self.data.dtype.type(negative_slope))
-        out = self._make_child(self.data * scale, (self,), "leaky_relu")
+        if negative_slope < 0:
+            raise ValueError("negative_slope must be >= 0")
+        out = self._make_child(
+            get_backend().leaky_relu(self.data, negative_slope), (self,),
+            "leaky_relu")
         if out.requires_grad:
-            def _backward():
-                self._accumulate(out.grad * scale)
+            def _backward(out):
+                self._accumulate(_activation_grad(out.grad, out.data,
+                                                  negative_slope))
             out._backward = _backward
         return out
 
@@ -676,7 +489,7 @@ class Tensor:
         if out.requires_grad:
             sign = np.sign(self.data)
 
-            def _backward():
+            def _backward(out):
                 self._accumulate(out.grad * sign)
             out._backward = _backward
         return out
@@ -687,7 +500,7 @@ class Tensor:
         if out.requires_grad:
             mask = (self.data >= minimum) & (self.data <= maximum)
 
-            def _backward():
+            def _backward(out):
                 self._accumulate(out.grad * mask)
             out._backward = _backward
         return out
@@ -701,7 +514,7 @@ class Tensor:
         if out.requires_grad:
             input_shape = self.shape
 
-            def _backward():
+            def _backward(out):
                 grad = out.grad
                 if axis is None:
                     grad = np.broadcast_to(grad, input_shape)
@@ -734,7 +547,7 @@ class Tensor:
         value = self.data.max(axis=axis, keepdims=keepdims)
         out = self._make_child(np.asarray(value), (self,), "max")
         if out.requires_grad:
-            def _backward():
+            def _backward(out):
                 if axis is None:
                     expanded = np.broadcast_to(out.data, self.shape)
                     grad = np.broadcast_to(out.grad, self.shape)
@@ -765,7 +578,7 @@ class Tensor:
         if out.requires_grad:
             original = self.shape
 
-            def _backward():
+            def _backward(out):
                 self._accumulate(out.grad.reshape(original))
             out._backward = _backward
         return out
@@ -779,7 +592,7 @@ class Tensor:
         if out.requires_grad:
             inverse = np.argsort(axes)
 
-            def _backward():
+            def _backward(out):
                 self._accumulate(out.grad.transpose(inverse))
             out._backward = _backward
         return out
@@ -787,7 +600,7 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         out = self._make_child(self.data[index], (self,), "getitem")
         if out.requires_grad:
-            def _backward():
+            def _backward(out):
                 grad = np.zeros_like(self.data)
                 np.add.at(grad, index, out.grad)
                 self._accumulate(grad)
@@ -801,7 +614,7 @@ class Tensor:
         pad_width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
         out = self._make_child(np.pad(self.data, pad_width), (self,), "pad2d")
         if out.requires_grad:
-            def _backward():
+            def _backward(out):
                 grad = out.grad[:, :, padding:-padding, padding:-padding]
                 self._accumulate(grad)
             out._backward = _backward
@@ -816,7 +629,7 @@ class Tensor:
         out = self._make_child(backend.matmul(self.data, other.data),
                                (self, other), "matmul")
         if out.requires_grad:
-            def _backward():
+            def _backward(out):
                 if self.requires_grad:
                     self._accumulate(backend.matmul(out.grad, other.data.T))
                 if other.requires_grad:
@@ -830,10 +643,6 @@ class Tensor:
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
     tensors = [Tensor.ensure(t) for t in tensors]
-    if (_lazy.is_lazy_enabled() and not _GRAD_ENABLED
-            and any(t._lazy is not None for t in tensors)):
-        node = _lazy.concat([t._lazy_node() for t in tensors], axis)
-        return Tensor._from_lazy(node, "concat")
     data = np.concatenate([t.data for t in tensors], axis=axis)
     template = tensors[0]
     out = template._make_child(data, tensors, "concat")
@@ -841,7 +650,7 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
         sizes = [t.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
 
-        def _backward():
+        def _backward(out):
             for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
                 if tensor.requires_grad:
                     index = [slice(None)] * out.ndim
@@ -857,7 +666,7 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     data = np.stack([t.data for t in tensors], axis=axis)
     out = tensors[0]._make_child(data, tensors, "stack")
     if out.requires_grad:
-        def _backward():
+        def _backward(out):
             for position, tensor in enumerate(tensors):
                 if tensor.requires_grad:
                     tensor._accumulate(np.take(out.grad, position, axis=axis))

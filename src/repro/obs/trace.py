@@ -253,7 +253,7 @@ class KernelProfiler:
 
     def phase_enter(self) -> Optional[float]:
         """Like :meth:`enter` but on a separate depth channel, used for
-        coarse phases (lazy realize barriers) that *contain* kernel calls."""
+        coarse phases (cjit compiles) that can run *inside* kernel calls."""
         local = self._local
         if getattr(local, "phase_depth", 0):
             return None

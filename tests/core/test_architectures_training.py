@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,22 @@ class TestTrainer:
         trainer.train_step(*tiny_dataset[0:4])
         after = model.generator_parameters()
         assert any(not np.allclose(b, a.data) for b, a in zip(before, after))
+
+    @pytest.mark.parametrize("name", ALL_ARCHITECTURES)
+    def test_step_leaves_no_reference_cycles(self, name, tiny_config,
+                                             tiny_dataset, rng):
+        """Backward frees each loss graph, so a step's activations go by
+        reference counting, not whenever the cyclic GC next runs."""
+        model = build_model(name, tiny_config, rng=rng)
+        trainer = Trainer(model, tiny_dataset, rng=np.random.default_rng(3))
+        trainer.train_step(*tiny_dataset[0:4])
+        gc.collect()
+        gc.disable()
+        try:
+            trainer.train_step(*tiny_dataset[4:8])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_history_records_steps(self, tiny_config, tiny_dataset):
         model = build_model("cvae", tiny_config, rng=np.random.default_rng(1))

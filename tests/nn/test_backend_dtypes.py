@@ -250,8 +250,8 @@ class TestBackendConformance:
 class TestCJitKernelConformance:
     """Compiled kernels vs the NumPy kernels, per the documented contract.
 
-    Indexing kernels (im2col/col2im), the optimizer updates and
-    ``leaky_relu`` must be **bit-identical**; the fused loss reductions
+    Indexing kernels (im2col/col2im), the optimizer updates, ``leaky_relu``
+    and the train-mode BatchNorm backward must be **bit-identical**; the fused loss reductions
     accumulate in float64 sequentially instead of NumPy's pairwise order,
     so their scalars are held to documented tolerances instead.
     """
@@ -326,6 +326,30 @@ class TestCJitKernelConformance:
         want = NumpyBackend().leaky_relu(x, 0.2)
         np.testing.assert_array_equal(got, want)
         assert np.isnan(got[4])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bn_bwd_dx_bit_identical(self, dtype, cjit_backend):
+        rng = np.random.default_rng(4)
+        grad = rng.standard_normal((2, 5, 6, 6)).astype(dtype)
+        x = rng.standard_normal((2, 5, 6, 6)).astype(dtype)
+        s1, s2, s3 = (rng.standard_normal(5).astype(dtype) for _ in range(3))
+        want = build_backend("reference").bn_bwd_dx(grad, x, s1, s2, s3)
+        got = cjit_backend.bn_bwd_dx(grad, x, s1, s2, s3)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bn_bwd_reductions_bit_identical(self, dtype, cjit_backend):
+        rng = np.random.default_rng(5)
+        grad = rng.standard_normal((2, 5, 6, 6)).astype(dtype)
+        x = rng.standard_normal((2, 5, 6, 6)).astype(dtype)
+        mean = x.mean(axis=(0, 2, 3))
+        invstd = 1.0 / np.sqrt(x.var(axis=(0, 2, 3)) + 1e-5)
+        want = build_backend("reference").bn_bwd_reductions(grad, x, mean,
+                                                            invstd)
+        for backend in (NumpyBackend(), cjit_backend):
+            got = backend.bn_bwd_reductions(grad, x, mean, invstd)
+            for got_sum, want_sum in zip(got, want):
+                np.testing.assert_array_equal(got_sum, want_sum)
 
     #: Relative tolerance of the fused loss scalars vs the NumPy pairwise
     #: accumulation (see README "Compiled kernels (cjit)").
@@ -461,52 +485,3 @@ class TestAstypeIdentity:
         assert out is not t
         assert out.data.dtype == np.float64
         assert not np.shares_memory(out.data, t.data)
-
-
-class TestFusedLoweringConformance:
-    """The lazy realizer's backend lowerings vs the reference kernels.
-
-    ``fused_elementwise`` and the segmented column writers are exactly the
-    calls the lazy graph lowers through, so every accelerated backend must
-    reproduce the reference backend's bits for them.
-    """
-
-    @pytest.mark.parametrize("backend_name", CONFORMANCE_BACKENDS)
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_fused_elementwise_matches_reference(self, dtype, backend_name,
-                                                 cjit_backend):
-        rng = np.random.default_rng(21)
-        x = rng.standard_normal((2, 4, 6, 6)).astype(dtype)
-        bias = rng.standard_normal(4).astype(dtype)
-        scale = rng.standard_normal(4).astype(dtype)
-        shift = rng.standard_normal(4).astype(dtype)
-        stages = [("bias_add", bias), ("affine", scale, shift),
-                  ("leaky_relu", 0.2), ("neg",), ("add_scalar", 0.25),
-                  ("div_scalar", 3.0), ("relu",), ("tanh",),
-                  ("cast", np.float64)]
-        under_test = cjit_backend if backend_name == "cjit" \
-            else build_backend(backend_name)
-        want = build_backend("reference").fused_elementwise(x.copy(), stages)
-        got = under_test.fused_elementwise(x.copy(), stages)
-        np.testing.assert_array_equal(got, want)
-        assert got.dtype == np.float64  # the trailing cast propagates
-
-    @pytest.mark.parametrize("backend_name", CONFORMANCE_BACKENDS)
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_segmented_cols_match_reference(self, dtype, backend_name,
-                                            cjit_backend):
-        rng = np.random.default_rng(22)
-        x = rng.standard_normal((2, 3, 8, 8)).astype(dtype)
-        values = rng.standard_normal((2, 2)).astype(dtype)
-        under_test = cjit_backend if backend_name == "cjit" \
-            else build_backend(backend_name)
-        reference = build_backend("reference")
-        results = {}
-        for backend in (under_test, reference):
-            cols6 = np.zeros((2, 5, 4, 4, 4, 4), dtype=dtype)
-            backend.im2col_into(x, cols6, 0, kernel=4, stride=2, padding=1)
-            backend.expand_cols_into(values, cols6, 3, height=8, width=8,
-                                     kernel=4, stride=2, padding=1)
-            results[backend.name] = cols6
-        np.testing.assert_array_equal(results[under_test.name],
-                                      results[reference.name])

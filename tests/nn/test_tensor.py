@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +242,51 @@ class TestGradients:
         out = tensor * 2.0 + tensor * 3.0
         out.sum().backward()
         np.testing.assert_allclose(tensor.grad, np.full(3, 5.0))
+
+
+class TestGraphRelease:
+    def test_backward_frees_the_graph(self, rng):
+        x = _tensor(rng, (3, 4))
+        hidden = (x * 2.0).relu()
+        loss = (hidden * hidden).sum()
+        hidden_ref = weakref.ref(hidden.data)
+        del hidden
+        gc.disable()
+        try:
+            loss.backward()
+            # No cycle holds the intermediate: it dies with the graph.
+            assert hidden_ref() is None
+        finally:
+            gc.enable()
+        assert loss._parents == () and loss._backward is None
+        np.testing.assert_allclose(x.grad, 8.0 * x.data * (x.data > 0))
+
+    def test_unused_graph_frees_without_the_cyclic_gc(self, rng):
+        x = _tensor(rng, (3, 4))
+        hidden = (x * 2.0).tanh()
+        hidden_ref = weakref.ref(hidden.data)
+        gc.disable()
+        try:
+            out = hidden.sum()
+            del hidden, out
+            assert hidden_ref() is None
+        finally:
+            gc.enable()
+
+    def test_held_intermediate_keeps_its_gradient(self, rng):
+        x = _tensor(rng, (3, 4))
+        hidden = x * 3.0
+        (hidden * hidden).sum().backward()
+        np.testing.assert_allclose(hidden.grad, 2.0 * hidden.data)
+        np.testing.assert_allclose(x.grad, 18.0 * x.data)
+
+    def test_second_backward_stops_at_the_root(self, rng):
+        x = _tensor(rng, (3, 4))
+        loss = (x * x).sum()
+        loss.backward()
+        first = x.grad.copy()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, first)
 
 
 class TestShapeOps:
