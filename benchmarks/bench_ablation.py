@@ -27,9 +27,9 @@ def test_pe_conditioning_ablation(benchmark, results_dir, setup,
         rows = []
         for pe, (program, voltages) in sorted(evaluation_arrays.items()):
             conditioned_tv = distribution_distance(
-                voltages, trained_cvae_gan.read(program, pe))
+                voltages, trained_cvae_gan.read_voltages(program, pe))
             unconditioned_tv = distribution_distance(
-                voltages, unconditioned.read(program, pe))
+                voltages, unconditioned.read_voltages(program, pe))
             rows.append({"pe_cycles": pe,
                          "tv_with_pe_conditioning": conditioned_tv,
                          "tv_without_pe_conditioning": unconditioned_tv})

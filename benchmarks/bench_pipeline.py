@@ -7,9 +7,8 @@ reports the throughput of every backend family:
 * the physical simulator,
 * the generative model through the batched chunked adapter
   (:class:`repro.channel.GenerativeChannel`),
-* the generative model through the pre-refactor per-array sampling loop
-  (:class:`repro.core.sampling.GenerativeChannelModel.read_repeated`), kept
-  as the regression reference for the batching speedup,
+* the same adapter read one array per call (one forward pass per array),
+  kept as the reference for the batching speedup,
 * a fitted statistical baseline.
 
 It also measures the per-condition LRU cache on repeated density-table
@@ -58,7 +57,7 @@ def _timed(function, repeats: int = 3) -> float:
 def run_pipeline_benchmark(repeats: int = 3) -> dict:
     """Measure voltages/second for every backend family."""
     from repro.channel import GenerativeChannel, build_channel
-    from repro.core import GenerativeChannelModel, ModelConfig, build_model
+    from repro.core import ModelConfig, build_model
     from repro.data import generate_paired_dataset
     from repro.flash import BlockGeometry, FlashChannel
 
@@ -77,7 +76,7 @@ def run_pipeline_benchmark(repeats: int = 3) -> dict:
     }
 
     # ------------------------------------------------------------------ #
-    # Generative: batched chunked adapter vs the per-array legacy loop.
+    # Generative: one batched read_repeated vs one read per array.
     # The model is untrained (throughput does not depend on the weights'
     # values) with the small 16x16 benchmark architecture.
     # ------------------------------------------------------------------ #
@@ -87,24 +86,19 @@ def run_pipeline_benchmark(repeats: int = 3) -> dict:
         0, 8, size=(ARRAYS, config.array_size, config.array_size))
     workload_cells = int(arrays.size * SAMPLES)
 
-    batched = GenerativeChannel(model, rng=np.random.default_rng(3))
+    channel = GenerativeChannel(model, rng=np.random.default_rng(3))
     batched_seconds = _timed(
-        lambda: batched.read_repeated(arrays, 7000, num_samples=SAMPLES),
+        lambda: channel.read_repeated(arrays, 7000, num_samples=SAMPLES),
         repeats)
 
-    legacy = GenerativeChannelModel(model, rng=np.random.default_rng(3))
-
     def per_array_loop():
-        # The pre-refactor consumer pattern: every (sample, array) pair is a
+        # The unbatched consumer pattern: every (sample, array) pair is a
         # separate read call, i.e. one forward pass per single array.
         for _ in range(SAMPLES):
             for array in arrays:
-                legacy.read(array, 7000)
+                channel.read_voltages(array, 7000)
 
     per_array_seconds = _timed(per_array_loop, repeats)
-    minibatch_seconds = _timed(
-        lambda: legacy.read_repeated(arrays, 7000, num_samples=SAMPLES),
-        repeats)
 
     speedup = per_array_seconds / batched_seconds
     results["generative_batched"] = {
@@ -116,11 +110,6 @@ def run_pipeline_benchmark(repeats: int = 3) -> dict:
         "cells": workload_cells,
         "seconds": per_array_seconds,
         "voltages_per_second": workload_cells / per_array_seconds,
-    }
-    results["generative_legacy_minibatch"] = {
-        "cells": workload_cells,
-        "seconds": minibatch_seconds,
-        "voltages_per_second": workload_cells / minibatch_seconds,
     }
     results["generative_batching_speedup"] = speedup
 
@@ -187,7 +176,7 @@ def check_pipeline_series() -> list[str]:
 
 
 def test_pipeline_throughput():
-    """Quick-profile smoke run: the batched path must beat the legacy loop.
+    """Quick-profile smoke run: the batched path must beat per-array reads.
 
     The acceptance threshold is 3x; the chunked adapter replaces
     ``SAMPLES`` sequential forward passes with a handful of large ones, so

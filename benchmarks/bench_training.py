@@ -223,7 +223,9 @@ def run_cjit_benchmark() -> dict | None:
     timings = _interleaved_best(_conv_train_steps(cjit),
                                 _conv_train_steps(build_backend("numpy")),
                                 CONV_ROUNDS, labels=("cjit", "numpy"))
-    stats = cjit.stats()
+    from repro.obs.metrics import backend_registry
+
+    totals = backend_registry(cjit).totals()
     return {
         "conv_step": {
             "array_size": TRAIN_ARRAY_SIZE,
@@ -233,11 +235,11 @@ def run_cjit_benchmark() -> dict | None:
             "numpy_seconds": timings["numpy"] / CONV_STEPS_PER_ROUND,
             "speedup": timings["numpy"] / timings["cjit"],
         },
-        "compiler": stats["compiler"],
+        "compiler": cjit.compiler.version if cjit.compiler else None,
         "warmed_kernels": warmed,
-        "compiled": stats["compiled"],
-        "cache_hits": stats["cache"]["hits"],
-        "fallbacks": stats["fallbacks"],
+        "compiled": totals["nn.cjit.compiled"],
+        "cache_hits": totals["nn.cjit.cache.hits"],
+        "fallbacks": totals["nn.cjit.fallbacks"],
         "cpu_count": os.cpu_count() or 1,
     }
 

@@ -8,14 +8,15 @@ This walks through the full pipeline of the paper at a small scale:
 3. regenerate voltages from program levels at a chosen P/E cycle count, and
 4. compare the measured and regenerated distributions.
 
-Run with ``python examples/quickstart.py`` (takes a couple of minutes on CPU).
+Run with ``python examples/quickstart.py`` (about 10 s on a 2-core CPU).
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from repro.core import GenerativeChannelModel, ModelConfig, Trainer, build_model
+from repro.channel import GenerativeChannel
+from repro.core import ModelConfig, Trainer, build_model
 from repro.data import crop_blocks, generate_paired_dataset
 from repro.eval import distribution_distance, conditional_histogram
 from repro.flash import BlockGeometry, FlashChannel, level_error_rate
@@ -47,12 +48,11 @@ def main() -> None:
     trainer.train(verbose=True)
 
     # 4. Use the learned model as a channel: program levels in, voltages out.
-    learned_channel = GenerativeChannelModel(model,
-                                             rng=np.random.default_rng(3))
+    learned_channel = GenerativeChannel(model, rng=np.random.default_rng(3))
     program, measured = channel.paired_blocks(10, 7000)
     program_crops = crop_blocks(program, 16)
     measured_crops = crop_blocks(measured, 16)
-    generated = learned_channel.read(program_crops, 7000)
+    generated = learned_channel.read_voltages(program_crops, 7000)
 
     print("\n== evaluation at 7000 P/E cycles ==")
     print(f"  total variation distance (measured vs generated): "

@@ -126,30 +126,19 @@ class GenerativeChannel(ChannelModel):
     Parameters
     ----------
     model:
-        A trained :class:`ConditionalGenerativeModel`, or a legacy
-        :class:`repro.core.sampling.GenerativeChannelModel` wrapper (its
-        inner model and parameters are adopted).
+        A trained :class:`ConditionalGenerativeModel`.
     chunk_size:
         Number of model-size tiles per vectorized forward pass.  One forward
-        per chunk replaces the per-array sampling loop of the legacy wrapper;
-        larger chunks amortize the Python/layer overhead further at the cost
-        of peak memory.
+        per chunk instead of one per array; larger chunks amortize the
+        Python/layer overhead further at the cost of peak memory.
     """
 
     def __init__(self, model, params: FlashParameters | None = None,
                  geometry: BlockGeometry | None = None,
                  rng: np.random.Generator | None = None,
                  chunk_size: int = 64, cache_size: int = 32):
-        # Adopt the legacy wrapper's configuration when one is passed.
-        from repro.core.sampling import GenerativeChannelModel
-
-        if isinstance(model, GenerativeChannelModel):
-            params = params if params is not None else model.params
-            rng = rng if rng is not None else model.rng
-            model = model.model
         if not isinstance(model, ConditionalGenerativeModel):
-            raise TypeError("model must be a ConditionalGenerativeModel or a "
-                            "GenerativeChannelModel wrapper")
+            raise TypeError("model must be a ConditionalGenerativeModel")
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
         super().__init__(params, geometry, rng, cache_size=cache_size)

@@ -161,13 +161,6 @@ class ChannelModel:
                 voltages, levels, pe_cycles, read_disturbs, rng=generator)
         return voltages
 
-    # Alias kept so the protocol is a drop-in for code written against
-    # ``FlashChannel.read`` / ``GenerativeChannelModel.read``.
-    def read(self, program_levels: np.ndarray, pe_cycles: float,
-             **kwargs) -> np.ndarray:
-        """Alias of :meth:`read_voltages` (legacy consumer spelling)."""
-        return self.read_voltages(program_levels, pe_cycles, **kwargs)
-
     # ------------------------------------------------------------------ #
     # Block helpers (shared plumbing formerly duplicated in consumers)
     # ------------------------------------------------------------------ #

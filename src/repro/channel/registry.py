@@ -13,11 +13,11 @@ backend is cold-started from a checkpoint directory — no retraining, no
 refitting — with sampling bit-identical to the model that was saved;
 ``save_channel`` writes such checkpoints.
 
-``resolve_channel`` additionally accepts already-built backends and the
-legacy concrete classes (:class:`repro.flash.FlashChannel`,
-:class:`repro.core.sampling.GenerativeChannelModel`, fitted statistical
-models), wrapping them into protocol adapters, so every public API that takes
-a ``channel`` argument accepts any spelling.
+``resolve_channel`` is what every public API that takes a ``channel``
+argument calls.  It accepts exactly four spellings: a registry name, an
+already-built :class:`ChannelModel`, a :class:`repro.exec.ChannelRef`, or a
+bare :class:`repro.flash.FlashChannel` simulator (wrapped in
+:class:`SimulatorChannel`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from repro.baselines.models import (
     GaussianChannelModel,
     NormalLaplaceChannelModel,
-    StatisticalChannelModel,
     StudentsTChannelModel,
 )
 from repro.channel.adapters import (
@@ -38,7 +37,6 @@ from repro.channel.adapters import (
     SimulatorChannel,
 )
 from repro.channel.protocol import ChannelModel
-from repro.core.base import ConditionalGenerativeModel
 from repro.flash.channel import FlashChannel
 
 __all__ = ["CHANNEL_REGISTRY", "register_channel", "build_channel",
@@ -166,9 +164,11 @@ def resolve_channel(channel, **kwargs) -> ChannelModel:
 
     Accepts a registry name, an already-built :class:`ChannelModel`, a
     :class:`repro.exec.ChannelRef` (resolved from its on-disk checkpoint,
-    memoized per thread), or one of the legacy concrete classes (which are
-    wrapped in their adapter).  ``kwargs`` are only applied when a new
-    backend is constructed.
+    memoized per thread), or a bare :class:`FlashChannel` simulator (wrapped
+    in :class:`SimulatorChannel`).  Anything else — a bare generative or
+    statistical model included — raises :class:`TypeError`; wrap it in its
+    adapter first.  ``kwargs`` are only applied when a new backend is
+    constructed.
     """
     if isinstance(channel, ChannelModel):
         return channel
@@ -187,14 +187,6 @@ def resolve_channel(channel, **kwargs) -> ChannelModel:
         return channel.resolve()
     if isinstance(channel, FlashChannel):
         return SimulatorChannel(simulator=channel, **kwargs)
-    if isinstance(channel, ConditionalGenerativeModel):
-        return GenerativeChannel(channel, **kwargs)
-    if isinstance(channel, StatisticalChannelModel):
-        return BaselineChannel(channel, **kwargs)
-    from repro.core.sampling import GenerativeChannelModel
-
-    if isinstance(channel, GenerativeChannelModel):
-        return GenerativeChannel(channel, **kwargs)
     raise TypeError(f"cannot interpret {type(channel).__name__} as a channel "
-                    "backend; pass a registry name, a ChannelModel, or one "
-                    "of the supported concrete channel classes")
+                    "backend; pass a registry name, a ChannelModel, a "
+                    "ChannelRef or a FlashChannel")

@@ -167,7 +167,7 @@ class TimeAwareCodeSelector:
     channel:
         Any channel backend: a registered name (``"simulator"``,
         ``"cvae_gan"``, ...), a :class:`repro.channel.ChannelModel`, or a
-        legacy concrete channel object (wrapped automatically).
+        bare :class:`repro.flash.FlashChannel` (wrapped automatically).
     error_rate_target:
         Maximum acceptable level error rate.
     high_levels:

@@ -22,7 +22,6 @@ from repro.core.cgan import ConditionalGAN
 from repro.core.cvae import ConditionalVAE
 from repro.core.bicycle_gan import BicycleGAN
 from repro.core.trainer import Trainer, TrainingHistory
-from repro.core.sampling import GenerativeChannelModel
 from repro.core.zoo import build_model, load_model, MODEL_REGISTRY
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "BicycleGAN",
     "Trainer",
     "TrainingHistory",
-    "GenerativeChannelModel",
     "build_model",
     "load_model",
     "MODEL_REGISTRY",

@@ -8,7 +8,8 @@ does soft-decision LDPC decoding gain from the model's soft voltages?
 
 Every helper takes the channel through the unified protocol
 (:mod:`repro.channel`): pass a registered backend name, a
-:class:`~repro.channel.ChannelModel`, or a legacy concrete channel object.
+:class:`~repro.channel.ChannelModel`, a :class:`~repro.exec.ChannelRef` or a
+bare :class:`~repro.flash.FlashChannel`.
 
 The campaigns run on the sharded Monte-Carlo engine (:mod:`repro.exec`):
 codewords are evaluated in groups — each group programmed as one stacked

@@ -6,8 +6,8 @@ frame-error campaigns, the figure drivers — runs through this package:
 1. describe the sweep as a :class:`MonteCarloPlan` (a picklable task over
    independent units plus a seed and shared context);
 2. pick an execution backend by name via :func:`build_executor`
-   (``"serial"``, ``"thread"``, ``"process"``, ``"async"``, ``"remote"``,
-   or ``"auto"``);
+   (``"serial"``, ``"thread"``, ``"process"``, ``"remote"`` or
+   ``"auto"``);
 3. :func:`run_plan` shards the units, runs them, folds worker cache entries
    back into the parent, and reduces the per-unit results with a mergeable
    :class:`Reducer`.
@@ -34,7 +34,6 @@ from repro.exec.reducers import (
 )
 from repro.exec.executors import (
     EXECUTOR_REGISTRY,
-    AsyncExecutor,
     Executor,
     ProcessExecutor,
     SerialExecutor,
@@ -66,7 +65,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "AsyncExecutor",
     "RemoteExecutor",
     "RemoteExecutorError",
     "TransportError",

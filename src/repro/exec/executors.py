@@ -14,10 +14,7 @@ plumbing.  Four backends exist:
   (:class:`repro.exec.RemoteExecutor`): spawned localhost subprocesses by
   default, or pre-started ``python -m repro.exec.worker --serve`` hosts,
   with per-shard acknowledgement, bounded retry, work stealing, heartbeats
-  and straggler re-dispatch;
-* ``"async"`` — an :mod:`asyncio` event loop running shards concurrently
-  in one process, for sweeps whose units await external I/O (service
-  calls, object-store checkpoint reads) rather than burning local CPU.
+  and straggler re-dispatch.
 
 ``"auto"`` picks ``"serial"`` for one worker and ``"process"`` otherwise.
 Because plan randomness is anchored per unit, every backend produces
@@ -35,8 +32,7 @@ from typing import Callable
 from repro.exec.plan import ShardResult, ShardSpec
 
 __all__ = ["Executor", "SerialExecutor", "ThreadExecutor", "ProcessExecutor",
-           "AsyncExecutor", "EXECUTOR_REGISTRY", "register_executor",
-           "build_executor"]
+           "EXECUTOR_REGISTRY", "register_executor", "build_executor"]
 
 
 class Executor:
@@ -131,10 +127,9 @@ def _snapshot_ref_caches(shard: ShardSpec, result: ShardResult) -> None:
     """Snapshot caches of :class:`ChannelRef`-bearing shards in place.
 
     ChannelRef resolution is shared per *thread*, so a later shard on the
-    same thread (pool thread, or the async loop's single thread) would
-    reset/mutate the very cache object this result references (process
-    workers are insulated by pickling).  Snapshot copies keep every
-    ShardResult self-consistent for the engine's merge.
+    same pool thread would reset/mutate the very cache object this result
+    references (process workers are insulated by pickling).  Snapshot
+    copies keep every ShardResult self-consistent for the engine's merge.
     """
     from repro.exec.plan import ChannelRef
 
@@ -188,57 +183,6 @@ class ProcessExecutor(Executor):
             self._pool = None
 
 
-class AsyncExecutor(Executor):
-    """Run shards concurrently on an :mod:`asyncio` event loop.
-
-    For sweeps whose units spend their time *awaiting* — remote inference
-    calls, object-store checkpoint reads — not computing: a task may return
-    a coroutine (awaited per unit, in unit order), and up to ``workers``
-    shards are in flight at once, bounded by a semaphore.  Plain synchronous
-    tasks also work (each shard then runs without ever yielding the loop),
-    so the conformance contract — bit-identical to serial — holds for both.
-
-    Shards interleave on one thread, so each runs against a private deep
-    copy of the context, exactly like the thread pool; the engine merges the
-    per-shard cache snapshots back.  Note that because all shards share the
-    thread, tracing spans of concurrently awaiting shards may interleave —
-    the obs battery therefore exercises this backend for metrics, not span
-    nesting.
-    """
-
-    name = "async"
-    shares_memory = False
-
-    def map_shards(self, shards: list[ShardSpec]) -> list[ShardResult]:
-        import asyncio
-
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            pass
-        else:
-            raise RuntimeError(
-                "AsyncExecutor.map_shards cannot run inside an active "
-                "asyncio event loop; await the plan's shards directly or "
-                "run the plan from synchronous code")
-        return asyncio.run(self._map(shards))
-
-    async def _map(self, shards: list[ShardSpec]) -> list[ShardResult]:
-        import asyncio
-
-        gate = asyncio.Semaphore(self.workers)
-
-        async def run_one(shard: ShardSpec) -> ShardResult:
-            async with gate:
-                isolated = _isolated_copy(shard)
-                result = await isolated.run_async(collect_caches=True)
-                _snapshot_ref_caches(shard, result)
-                return result
-
-        return list(await asyncio.gather(*(run_one(shard)
-                                           for shard in shards)))
-
-
 #: Executor classes keyed by backend name (mirrors ``CHANNEL_REGISTRY``).
 EXECUTOR_REGISTRY: dict[str, Callable[..., Executor]] = {}
 
@@ -256,7 +200,6 @@ def register_executor(name: str):
 register_executor("serial")(SerialExecutor)
 register_executor("thread")(ThreadExecutor)
 register_executor("process")(ProcessExecutor)
-register_executor("async")(AsyncExecutor)
 # "remote" registers itself at the bottom of repro.exec.remote (which
 # imports this module, so the registration cannot live here); the package
 # __init__ imports both, keeping the registry complete for any consumer.

@@ -290,33 +290,11 @@ class ShardSpec:
             result.obs = obs_box.envelope
         return result
 
-    async def run_async(self, collect_caches: bool = False) -> ShardResult:
-        """Like :meth:`run`, awaiting any awaitable the task returns.
-
-        Used by the ``async`` executor for sweeps whose units spend their
-        time in external I/O.  A synchronous task behaves exactly as under
-        :meth:`run`; a coroutine-returning task is awaited per unit, in unit
-        order, so the result list is identical either way.
-        """
-        if self.trace is None:
-            return await self._run_async(collect_caches)
-        from repro.obs.context import observe_shard
-
-        with observe_shard(self) as obs_box:
-            result = await self._run_async(collect_caches)
-        if obs_box.envelope is not None:
-            result.obs = obs_box.envelope
-        return result
-
-    def _prepare(self, collect_caches: bool):
+    def _run(self, collect_caches: bool, control: Any = None) -> ShardResult:
         context = self.resolved_context()
         caches = collect_cache_bearers(context) if collect_caches else {}
         for cache in caches.values():
             cache.reset_stats()
-        return context, caches
-
-    def _run(self, collect_caches: bool, control: Any = None) -> ShardResult:
-        context, caches = self._prepare(collect_caches)
         results = []
         for offset, unit in enumerate(self.units):
             if control is not None and control.stop_before(offset):
@@ -324,19 +302,6 @@ class ShardSpec:
             results.append(self.task(unit, self.unit_rng(offset), **context))
             if control is not None:
                 control.completed(offset)
-        return ShardResult(index=self.index, start=self.start,
-                           results=results, caches=caches)
-
-    async def _run_async(self, collect_caches: bool) -> ShardResult:
-        import inspect
-
-        context, caches = self._prepare(collect_caches)
-        results = []
-        for offset, unit in enumerate(self.units):
-            value = self.task(unit, self.unit_rng(offset), **context)
-            if inspect.isawaitable(value):
-                value = await value
-            results.append(value)
         return ShardResult(index=self.index, start=self.start,
                            results=results, caches=caches)
 

@@ -89,9 +89,9 @@ def run_fig4(measured_arrays: dict[int, tuple[np.ndarray, np.ndarray]],
         of measured evaluation arrays, shape ``(N, H, W)`` each.
     model:
         Any channel backend whose conditional PDFs are compared against the
-        measured arrays — a registered name, a
-        :class:`repro.channel.ChannelModel`, or a legacy wrapper (typically
-        the trained generative model).
+        measured arrays — a registered name or a
+        :class:`repro.channel.ChannelModel` (typically the trained
+        :class:`repro.channel.GenerativeChannel`).
     levels:
         Program levels whose PDFs are estimated (1..7 in the paper).
     bins:

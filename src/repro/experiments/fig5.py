@@ -94,8 +94,8 @@ def run_fig5(training_dataset: FlashChannelDataset,
         Mapping from P/E cycle count to measured ``(PL, VL)`` evaluation
         arrays.
     generative_model:
-        Trained generative backend (any channel spelling); omit to skip the
-        'cV-G' bars.
+        Trained generative backend (a :class:`repro.channel.GenerativeChannel`
+        or a registered name); omit to skip the 'cV-G' bars.
     baseline_iterations:
         Nelder-Mead budget per (level, P/E) fit.
     executor / workers:
@@ -107,8 +107,8 @@ def run_fig5(training_dataset: FlashChannelDataset,
     generator = rng if rng is not None else np.random.default_rng(0)
 
     # Every comparator goes through the channel protocol: the baselines are
-    # fitted and wrapped by the registry factory, the generative model is
-    # resolved into its adapter, and all of them answer read_voltages().
+    # fitted and wrapped by the registry factory, the generative backend
+    # goes through resolve_channel, and all of them answer read_voltages().
     channels: dict[str, ChannelModel] = {}
     if generative_model is not None:
         channels["cV-G"] = resolve_channel(generative_model)

@@ -55,15 +55,6 @@ from repro.flash.errors import (
 from repro.flash.cycling import PECyclingExperiment, CyclingRecord
 from repro.flash.retention import RetentionModel, RetentionParameters
 from repro.flash.read_disturb import ReadDisturbModel, ReadDisturbParameters
-from repro.flash.technology import (
-    CellTechnology,
-    MultiLevelCellChannel,
-    SLC,
-    MLC,
-    TLC,
-    QLC,
-    reflected_gray_code,
-)
 from repro.flash.calibration import (
     CalibrationResult,
     calibrate_thresholds,
@@ -79,13 +70,11 @@ from repro.flash.pages import (
     program_pages,
     read_pages,
 )
-from repro.flash.scrambler import LFSR, Scrambler
 from repro.flash.endurance import (
     EndurancePoint,
     EnduranceSweep,
     estimate_endurance_limit,
 )
-from repro.flash.wear_leveling import ChipWearState, simulate_wear_leveling
 
 __all__ = [
     "NUM_LEVELS",
@@ -126,13 +115,6 @@ __all__ = [
     "RetentionParameters",
     "ReadDisturbModel",
     "ReadDisturbParameters",
-    "CellTechnology",
-    "MultiLevelCellChannel",
-    "SLC",
-    "MLC",
-    "TLC",
-    "QLC",
-    "reflected_gray_code",
     "CalibrationResult",
     "calibrate_thresholds",
     "optimal_threshold_between",
@@ -144,11 +126,7 @@ __all__ = [
     "page_bit_errors",
     "program_pages",
     "read_pages",
-    "LFSR",
-    "Scrambler",
     "EndurancePoint",
     "EnduranceSweep",
     "estimate_endurance_limit",
-    "ChipWearState",
-    "simulate_wear_leveling",
 ]

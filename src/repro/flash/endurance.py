@@ -45,9 +45,10 @@ class EnduranceSweep:
     ----------
     channel:
         Channel under test.  Anything exposing
-        ``paired_blocks(num_blocks, pe_cycles)`` works, so a
-        :class:`repro.core.sampling.GenerativeChannelModel` wrapped in a
-        compatible adapter can be swept exactly the same way.
+        ``paired_blocks(num_blocks, pe_cycles)`` works, so any
+        :class:`repro.channel.ChannelModel` (a trained
+        :class:`repro.channel.GenerativeChannel` included) can be swept
+        exactly the same way.
     pe_points:
         P/E cycle counts at which to evaluate the channel.
     blocks_per_point:

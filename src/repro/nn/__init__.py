@@ -60,14 +60,6 @@ from repro.nn.losses import (
     hinge_loss,
 )
 from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.schedulers import (
-    CosineAnnealingLR,
-    ExponentialLR,
-    LinearWarmupLR,
-    LRScheduler,
-    StepLR,
-)
-from repro.nn.clipping import clip_grad_norm, clip_grad_value, global_grad_norm
 from repro.nn.serialization import save_state_dict, load_state_dict
 from repro.nn import init
 
@@ -110,14 +102,6 @@ __all__ = [
     "SGD",
     "Adam",
     "Optimizer",
-    "LRScheduler",
-    "StepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
-    "LinearWarmupLR",
-    "clip_grad_norm",
-    "clip_grad_value",
-    "global_grad_norm",
     "save_state_dict",
     "load_state_dict",
     "init",

@@ -352,12 +352,6 @@ class ArrayBackend:
     # ------------------------------------------------------------------ #
     # In-place parameter updates
     # ------------------------------------------------------------------ #
-    def scale_inplace(self, array: np.ndarray, scale: float) -> None:
-        array *= array.dtype.type(scale)
-
-    def clip_inplace(self, array: np.ndarray, low: float, high: float) -> None:
-        np.clip(array, low, high, out=array)
-
     @profiled_kernel("sgd_update")
     def sgd_update(self, param: np.ndarray, grad: np.ndarray,
                    velocity: np.ndarray | None, lr: float, momentum: float,
@@ -533,11 +527,13 @@ def main(argv: list[str] | None = None) -> int:
     backend = canonical.build_backend("cjit", cache_dir=args.cache_dir)
     print(f"kernel cache: {backend.cache.directory}")
     if args.warm:
+        from repro.obs.metrics import backend_registry
+
         count = backend.warm()
-        stats = backend.stats()
+        totals = backend_registry(backend).totals()
         print(f"warmed {count} kernels "
-              f"({stats['compiled']} compiled, "
-              f"{stats['cache']['hits']} already cached)")
+              f"({totals['nn.cjit.compiled']} compiled, "
+              f"{totals['nn.cjit.cache.hits']} already cached)")
     else:
         print(f"cached kernels: {backend.cache.stats()['entries']} "
               "(use --warm to pre-compile the standard set)")

@@ -381,27 +381,3 @@ class CJitBackend(NumpyBackend):
            float(lr), float(beta1), float(beta2), float(eps),
            float(bias_correction1), float(bias_correction2),
            float(weight_decay))
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def stats(self) -> dict[str, object]:
-        """Compile/cache counters plus the cache's own entry stats.
-
-        The numeric counters are read back through the unified obs metrics
-        registry (``nn.cjit.*`` gauges, see
-        :func:`repro.obs.metrics.backend_registry`); the dict shape is the
-        legacy surface kept for the CLI and benchmarks.
-        """
-        from repro.obs.metrics import backend_registry
-
-        snapshot = backend_registry(self).snapshot()
-        return {
-            "compiler": self.compiler.version if self.compiler else None,
-            "kernels_loaded": len(self._functions),
-            "compiled": int(snapshot["nn.cjit.compiled"]["value"]),
-            "fallbacks": int(snapshot["nn.cjit.fallbacks"]["value"]),
-            "cache": {key: int(snapshot[f"nn.cjit.cache.{key}"]["value"])
-                      for key in self.cache.stats()},
-            "c_matmul": self.c_matmul,
-        }

@@ -223,10 +223,11 @@ def backend_registry(backend: Any,
                      ) -> MetricsRegistry:
     """Publish an ``ArrayBackend``'s ad-hoc counters as registry metrics.
 
-    This is the unification seam for the legacy stats surfaces: arena
-    traffic lands under ``nn.arena.*`` and compiled-backend state under
-    ``nn.cjit.*``; the cjit ``stats()`` view reads through this instead of
-    bespoke per-backend dicts.
+    This is the one stats surface of an array backend: arena traffic lands
+    under ``nn.arena.*`` and compiled-backend state under ``nn.cjit.*``
+    (``compiled``, ``fallbacks`` and the kernel cache's ``cache.*``
+    entries).  The ``python -m repro.nn.backend --warm`` report and the
+    benchmarks read these gauges.
     """
     registry = registry if registry is not None else MetricsRegistry()
     arena = getattr(backend, "arena", None)

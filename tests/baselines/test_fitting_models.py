@@ -109,6 +109,27 @@ class TestStatisticalChannelModels:
                 dataset, max_iterations=200)
         return models
 
+    @pytest.mark.parametrize("name", ["GaussianChannelModel",
+                                      "NormalLaplaceChannelModel",
+                                      "StudentsTChannelModel"])
+    def test_fitted_state_restores_bit_identical_sampling(self,
+                                                          fitted_models,
+                                                          name):
+        model = fitted_models[name]
+        restored = type(model)(bins=120).load_fitted_state(
+            *model.fitted_state())
+        assert restored.fitted == model.fitted
+        levels = np.random.default_rng(3).integers(0, 8, size=(2, 16, 16))
+        np.testing.assert_array_equal(
+            restored.sample(levels, 4000, rng=np.random.default_rng(4)),
+            model.sample(levels, 4000, rng=np.random.default_rng(4)))
+
+    def test_fitted_state_keys_are_exact_reprs(self, fitted_models):
+        fitted, erased = fitted_models["GaussianChannelModel"].fitted_state()
+        assert set(fitted) == set(erased) == {"4000.0", "10000.0"}
+        assert all(isinstance(level, str)
+                   for levels in fitted.values() for level in levels)
+
     def test_all_baselines_fit_without_error(self, fitted_models):
         assert set(fitted_models) == {"GaussianChannelModel",
                                       "NormalLaplaceChannelModel",

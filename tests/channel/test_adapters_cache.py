@@ -14,7 +14,7 @@ from repro.channel import (
     resolve_channel,
 )
 from repro.channel.adapters import _tile_arrays, _untile_arrays
-from repro.core import GenerativeChannelModel, ModelConfig, build_model
+from repro.core import ModelConfig, build_model
 from repro.data import generate_paired_dataset
 from repro.flash import BlockGeometry, FlashChannel
 
@@ -53,6 +53,16 @@ class TestConditionCache:
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError):
             ConditionCache(maxsize=-1)
+
+    def test_reset_stats_keeps_entries(self):
+        cache = ConditionCache()
+        cache.get_or_compute("a", lambda: 1)
+        cache.get_or_compute("a", lambda: 1)
+        cache.reset_stats()
+        assert cache.stats() == {"hits": 0, "misses": 0, "merges": 0,
+                                 "merged_entries": 0, "size": 1}
+        assert cache.get_or_compute("a", lambda: 2) == 1
+        assert cache.stats()["hits"] == 1
 
     def test_failed_compute_does_not_poison_the_key(self):
         cache = ConditionCache(maxsize=4)
@@ -186,6 +196,26 @@ class TestGenerativeChannel:
         voltages = tiny_generative.read_voltages(levels, 7000)
         assert voltages.shape == levels.shape
 
+    def test_single_array_stays_in_the_voltage_window(self, tiny_generative):
+        levels = np.random.default_rng(0).integers(0, 8, size=(8, 8))
+        voltages = tiny_generative.read_voltages(levels, 7000)
+        params = tiny_generative.params
+        assert voltages.shape == (8, 8)
+        assert voltages.min() >= params.voltage_min
+        assert voltages.max() <= params.voltage_max
+
+    def test_rejects_one_dimensional_levels(self, tiny_generative):
+        with pytest.raises(ValueError, match="at least 2 dimensions"):
+            tiny_generative.read_voltages(np.zeros(8, dtype=int), 4000)
+
+    def test_seeded_reads_are_reproducible(self, tiny_generative):
+        levels = np.random.default_rng(6).integers(0, 8, size=(3, 8, 8))
+        first = tiny_generative.read_voltages(
+            levels, 7000, rng=np.random.default_rng(11))
+        second = tiny_generative.read_voltages(
+            levels, 7000, rng=np.random.default_rng(11))
+        np.testing.assert_array_equal(first, second)
+
     def test_pads_non_tileable_shapes(self, tiny_generative):
         levels = np.random.default_rng(8).integers(0, 8, size=(2, 12, 20))
         voltages = tiny_generative.read_voltages(levels, 7000)
@@ -197,6 +227,18 @@ class TestGenerativeChannel:
         levels = np.random.default_rng(4).integers(0, 8, size=(2, 16, 16))
         repeated = tiny_generative.read_repeated(levels, 7000, num_samples=3)
         assert repeated.shape == (3, 2, 16, 16)
+
+    def test_read_repeated_default_samples(self, tiny_generative):
+        """Without num_samples, the model config's samples_per_array apply."""
+        levels = np.zeros((8, 8), dtype=int)
+        repeated = tiny_generative.read_repeated(levels, 7000)
+        samples = tiny_generative.model.config.samples_per_array
+        assert repeated.shape == (samples, 8, 8)
+
+    def test_read_repeated_rejects_zero_samples(self, tiny_generative):
+        with pytest.raises(ValueError, match="num_samples"):
+            tiny_generative.read_repeated(np.zeros((8, 8), dtype=int), 7000,
+                                          num_samples=0)
 
     def test_read_repeated_samples_differ(self, tiny_generative):
         levels = np.random.default_rng(5).integers(0, 8, size=(8, 8))
@@ -226,6 +268,14 @@ class TestGenerativeChannel:
                                              num_blocks=1) is table
 
 
+def _fitted_gaussian() -> GaussianChannelModel:
+    simulator = FlashChannel(geometry=BlockGeometry(32, 32),
+                             rng=np.random.default_rng(3))
+    dataset = generate_paired_dataset(simulator, pe_cycles=(7000,),
+                                      arrays_per_pe=8, array_size=16)
+    return GaussianChannelModel().fit(dataset, max_iterations=40)
+
+
 class TestResolveChannel:
     def test_passthrough(self, tiny_generative):
         assert resolve_channel(tiny_generative) is tiny_generative
@@ -237,29 +287,20 @@ class TestResolveChannel:
         assert wrapped.simulator is simulator
         assert wrapped.rng is simulator.rng
 
-    def test_wraps_legacy_generative_wrapper(self):
-        model = build_model("cvae_gan", ModelConfig.tiny(),
-                            rng=np.random.default_rng(1))
-        legacy = GenerativeChannelModel(model, rng=np.random.default_rng(2))
-        wrapped = resolve_channel(legacy)
-        assert isinstance(wrapped, GenerativeChannel)
-        assert wrapped.model is model
-
-    def test_wraps_fitted_baseline(self):
-        simulator = FlashChannel(geometry=BlockGeometry(32, 32),
-                                 rng=np.random.default_rng(3))
-        dataset = generate_paired_dataset(simulator, pe_cycles=(7000,),
-                                          arrays_per_pe=8, array_size=16)
-        fitted = GaussianChannelModel().fit(dataset, max_iterations=40)
-        wrapped = resolve_channel(fitted)
-        assert isinstance(wrapped, BaselineChannel)
-
     def test_builds_by_name(self):
         assert isinstance(resolve_channel("simulator"), SimulatorChannel)
 
-    def test_rejects_unknown_objects(self):
+    # Bare models are not channels: wrap them in GenerativeChannel or
+    # BaselineChannel first.
+    @pytest.mark.parametrize("make", [
+        lambda: 42,
+        lambda: build_model("cvae_gan", ModelConfig.tiny(),
+                            rng=np.random.default_rng(1)),
+        _fitted_gaussian,
+    ], ids=["int", "bare_generative_model", "fitted_gaussian_model"])
+    def test_rejects_unknown_objects(self, make):
         with pytest.raises(TypeError, match="cannot interpret"):
-            resolve_channel(42)
+            resolve_channel(make())
 
 
 class TestBaselineChannel:

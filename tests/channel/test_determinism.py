@@ -1,6 +1,6 @@
 """Determinism regression suite: one seeded generator, reproducible outputs.
 
-``build_model``, ``GenerativeChannelModel`` and ``build_channel`` all accept
+``build_model``, ``GenerativeChannel`` and ``build_channel`` all accept
 a single :class:`numpy.random.Generator`; these tests lock in that the
 generator is actually propagated everywhere (weight initialisation, latent
 sampling, channel noise) — rebuilding with the same seed must reproduce
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.channel import GenerativeChannel, build_channel
-from repro.core import GenerativeChannelModel, ModelConfig, build_model
+from repro.core import ModelConfig, build_model
 from repro.data import generate_paired_dataset
 from repro.experiments import ExperimentSetup
 from repro.flash import BlockGeometry, FlashChannel
@@ -86,16 +86,18 @@ class TestChannelDeterminism:
         np.testing.assert_allclose(reads[0], reads[1], rtol=0, atol=1e-9)
         np.testing.assert_allclose(reads[0], reads[2], rtol=0, atol=1e-9)
 
-    def test_legacy_wrapper_matches_adapter(self):
-        """The legacy GenerativeChannelModel and the adapter agree exactly."""
+    def test_adapter_rng_is_the_only_latent_source(self):
+        """Two adapters over one model with equal seeds agree exactly."""
         model = build_model("cvae_gan", ModelConfig.tiny(),
                             rng=np.random.default_rng(4))
         levels = _levels(shape=(3, 8, 8))
-        legacy = GenerativeChannelModel(
-            model, rng=np.random.default_rng(5)).read(levels, 7000)
-        adapter = GenerativeChannel(
-            model, rng=np.random.default_rng(5)).read_voltages(levels, 7000)
-        np.testing.assert_array_equal(legacy, adapter)
+        first, second = (GenerativeChannel(model, rng=np.random.default_rng(5))
+                         for _ in range(2))
+        np.testing.assert_array_equal(first.read_voltages(levels, 7000),
+                                      second.read_voltages(levels, 7000))
+        np.testing.assert_array_equal(
+            first.read_repeated(levels, 7000, num_samples=2),
+            second.read_repeated(levels, 7000, num_samples=2))
 
     def test_baseline_backend(self):
         simulator = FlashChannel(geometry=BlockGeometry(32, 32),

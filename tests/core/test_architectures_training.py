@@ -1,4 +1,4 @@
-"""Tests for the four architectures, the trainer and the inference wrapper."""
+"""Tests for the four architectures and the trainer."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.core import (
     ConditionalGAN,
     ConditionalVAE,
     ConditionalVAEGAN,
-    GenerativeChannelModel,
     MODEL_REGISTRY,
     ModelConfig,
     Trainer,
@@ -53,6 +52,28 @@ class TestZoo:
     def test_display_names(self):
         assert ConditionalVAEGAN.display_name == "cV-G"
         assert ConditionalGAN.display_name == "cGAN"
+
+
+class TestPriorLatent:
+    @pytest.mark.parametrize("name", ALL_ARCHITECTURES)
+    def test_shape_and_dtype_follow_the_config(self, name, tiny_config):
+        model = build_model(name, tiny_config, rng=np.random.default_rng(0))
+        latent = model.prior_latent(5, np.random.default_rng(1))
+        assert latent.data.shape == (5, tiny_config.latent_dim)
+        assert latent.data.dtype == model.dtype
+
+    def test_float32_rounds_the_float64_stream(self, tiny_config):
+        import dataclasses
+
+        wide = build_model("cvae", dataclasses.replace(tiny_config,
+                                                       dtype="float64"),
+                           rng=np.random.default_rng(0))
+        narrow = build_model("cvae", tiny_config,
+                             rng=np.random.default_rng(0))
+        exact = wide.prior_latent(4, np.random.default_rng(2)).data
+        rounded = narrow.prior_latent(4, np.random.default_rng(2)).data
+        assert exact.dtype == np.float64 and rounded.dtype == np.float32
+        np.testing.assert_array_equal(rounded, exact.astype(np.float32))
 
 
 class TestArchitectureLosses:
@@ -192,46 +213,3 @@ class TestTrainer:
                           max_steps_per_epoch=2)
         summary = trainer.train_epoch()
         assert "g_total" in summary and "d_total" in summary
-
-
-class TestGenerativeChannelModel:
-    @pytest.fixture(scope="class")
-    def wrapper(self):
-        config = ModelConfig.tiny()
-        model = build_model("cvae_gan", config, rng=np.random.default_rng(9))
-        return GenerativeChannelModel(model, rng=np.random.default_rng(10))
-
-    def test_read_single_array(self, wrapper):
-        program = np.random.default_rng(0).integers(0, 8, size=(8, 8))
-        voltages = wrapper.read(program, 7000)
-        assert voltages.shape == (8, 8)
-        assert voltages.min() >= 0.0 and voltages.max() <= 650.0
-
-    def test_read_batched_arrays(self, wrapper):
-        program = np.random.default_rng(0).integers(0, 8, size=(5, 8, 8))
-        voltages = wrapper.read(program, 4000)
-        assert voltages.shape == (5, 8, 8)
-
-    def test_read_rejects_wrong_size(self, wrapper):
-        with pytest.raises(ValueError):
-            wrapper.read(np.zeros((16, 16), dtype=int), 4000)
-
-    def test_read_rejects_wrong_rank(self, wrapper):
-        with pytest.raises(ValueError):
-            wrapper.read(np.zeros(8, dtype=int), 4000)
-
-    def test_read_repeated_default_samples(self, wrapper):
-        program = np.zeros((8, 8), dtype=int)
-        repeated = wrapper.read_repeated(program, 7000)
-        assert repeated.shape == (wrapper.model.config.samples_per_array, 8, 8)
-
-    def test_read_repeated_rejects_zero_samples(self, wrapper):
-        with pytest.raises(ValueError):
-            wrapper.read_repeated(np.zeros((8, 8), dtype=int), 7000,
-                                  num_samples=0)
-
-    def test_repeated_reads_differ(self, wrapper):
-        """Different latent samples yield different voltage arrays."""
-        program = np.random.default_rng(1).integers(0, 8, size=(8, 8))
-        repeated = wrapper.read_repeated(program, 7000, num_samples=2)
-        assert not np.allclose(repeated[0], repeated[1])

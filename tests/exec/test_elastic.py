@@ -4,28 +4,18 @@ The contract under test is the same as everywhere else in ``tests/exec/``:
 **bit-identical reducers under any stealing schedule** — forced steals,
 heartbeat-timed-out (SIGSTOPped) workers, and a fleet that grows via
 :meth:`RemoteExecutor.attach` and shrinks via a mid-run kill must all leave
-the output exactly equal to the serial reference.  The ``async`` executor's
-coroutine path is covered here too.
+the output exactly equal to the serial reference.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import subprocess
 import sys
 import threading
 import time
 
-import pytest
-
-from repro.exec import (
-    AsyncExecutor,
-    MonteCarloPlan,
-    RemoteExecutor,
-    build_executor,
-    run_plan,
-)
+from repro.exec import MonteCarloPlan, RemoteExecutor, run_plan
 
 
 def _tail_heavy(unit, rng, *, heavy_from, heavy_seconds):
@@ -67,24 +57,6 @@ def _sleepy(unit, rng, *, seconds):
 
 def _sync_value(unit, rng):
     return float(unit) + float(rng.random())
-
-
-async def _awaited_value(unit, rng):
-    await asyncio.sleep(0.001)
-    return float(unit) + float(rng.random())
-
-
-#: Cross-shard concurrency tracker for the async executor (shards share the
-#: event-loop thread, so a module global is visible to all of them).
-_CONCURRENCY = {"active": 0, "peak": 0}
-
-
-async def _tracking_value(unit, rng):
-    _CONCURRENCY["active"] += 1
-    _CONCURRENCY["peak"] = max(_CONCURRENCY["peak"], _CONCURRENCY["active"])
-    await asyncio.sleep(0.01)
-    _CONCURRENCY["active"] -= 1
-    return float(unit)
 
 
 def _serve_worker():
@@ -237,42 +209,3 @@ class TestElasticFleet:
             executor.close()
             process.kill()
             process.wait(timeout=10)
-
-
-class TestAsyncExecutor:
-    def test_coroutine_task_matches_sync_serial_reference(self):
-        sync_plan = MonteCarloPlan(task=_sync_value, units=tuple(range(10)),
-                                   seed=47)
-        async_plan = MonteCarloPlan(task=_awaited_value,
-                                    units=tuple(range(10)), seed=47)
-        reference = run_plan(sync_plan, executor="serial")
-        assert run_plan(async_plan, executor="async", workers=3) == reference
-
-    def test_sync_task_runs_unchanged(self):
-        plan = MonteCarloPlan(task=_sync_value, units=tuple(range(7)),
-                              seed=53)
-        reference = run_plan(plan, executor="serial")
-        assert run_plan(plan, executor="async", workers=2) == reference
-
-    def test_concurrency_bounded_by_workers(self):
-        _CONCURRENCY["active"] = _CONCURRENCY["peak"] = 0
-        plan = MonteCarloPlan(task=_tracking_value, units=tuple(range(8)),
-                              seed=59)
-        run_plan(plan, executor="async", workers=2, num_shards=8)
-        assert _CONCURRENCY["peak"] == 2
-
-    def test_build_executor_resolves_async(self):
-        executor = build_executor("async", workers=2)
-        assert isinstance(executor, AsyncExecutor)
-        assert executor.shares_memory is False
-
-    def test_refuses_nested_event_loop(self):
-        plan = MonteCarloPlan(task=_sync_value, units=tuple(range(2)),
-                              seed=61)
-        executor = AsyncExecutor(workers=1)
-
-        async def inside_loop():
-            executor.map_shards(plan.shards(1))
-
-        with pytest.raises(RuntimeError, match="event loop"):
-            asyncio.run(inside_loop())

@@ -30,7 +30,7 @@ from repro.exec import (
 )
 from repro.flash import BlockGeometry
 
-BACKENDS = ("serial", "thread", "process", "async", "remote")
+BACKENDS = ("serial", "thread", "process", "remote")
 WORKERS = 2
 
 

@@ -38,8 +38,8 @@ def _cached_estimate(unit, rng, *, channel):
 
 class TestBuildExecutor:
     def test_registry_names(self):
-        assert set(EXECUTOR_REGISTRY) == {"serial", "thread", "process",
-                                          "async", "remote"}
+        assert sorted(EXECUTOR_REGISTRY) == ["process", "remote", "serial",
+                                             "thread"]
 
     def test_remote_resolves_by_name(self):
         from repro.exec import RemoteExecutor
@@ -67,6 +67,8 @@ class TestBuildExecutor:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             build_executor("quantum")
+        with pytest.raises(ValueError, match="unknown executor"):
+            build_executor("async")
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):

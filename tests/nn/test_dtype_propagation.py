@@ -35,11 +35,8 @@ from repro.nn import (
     Tanh,
     Tensor,
     bce_with_logits_loss,
-    clip_grad_norm,
-    clip_grad_value,
     default_dtype,
     gaussian_kl_loss,
-    global_grad_norm,
     l1_loss,
     load_state_dict,
     mse_loss,
@@ -258,26 +255,6 @@ class TestOptimizerPropagation:
         (param * param).sum().backward()
         optimizer.step()
         assert param.data is buffer
-
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_clipping_preserves_dtype(self, dtype, rng):
-        param = Tensor(rng.standard_normal(64).astype(dtype),
-                       requires_grad=True)
-        (param * param).sum().backward()
-        norm = clip_grad_norm([param], 1e-3)
-        assert param.grad.dtype == dtype
-        assert norm > 0
-        clip_grad_value([param], 1e-4)
-        assert param.grad.dtype == dtype
-        assert np.all(np.abs(param.grad) <= 1e-4 + 1e-12)
-
-    def test_global_norm_matches_float64_computation(self, rng):
-        values = rng.standard_normal(1000)
-        param = Tensor(values.astype(np.float32), requires_grad=True)
-        param.grad = param.data.copy()
-        expected = float(np.linalg.norm(values.astype(np.float32)
-                                        .astype(np.float64)))
-        assert global_grad_norm([param]) == pytest.approx(expected, rel=1e-6)
 
 
 class TestSerializationDtype:

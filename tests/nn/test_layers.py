@@ -96,6 +96,36 @@ class TestModule:
         with pytest.raises(NotImplementedError):
             Module()(Tensor([1.0]))
 
+    def test_register_parameter_makes_it_trainable(self):
+        module = Module()
+        weight = module.register_parameter("weight", Tensor(np.zeros(3)))
+        assert weight.requires_grad
+        assert list(module.named_parameters()) == [("weight", weight)]
+
+    def test_add_module_nests_names(self):
+        outer, inner = Module(), Module()
+        inner.register_parameter("scale", Tensor(np.ones(2)))
+        inner.register_buffer("count", np.zeros(1, dtype=np.float32))
+        assert outer.add_module("inner", inner) is inner
+        assert [name for name, _ in outer.named_parameters()] == \
+            ["inner.scale"]
+        assert [name for name, _ in outer.named_buffers("model.")] == \
+            ["model.inner.count"]
+
+    def test_batchnorm_buffers_are_named(self):
+        names = [name for name, _ in
+                 Sequential(BatchNorm2d(3)).named_buffers()]
+        assert names == ["0.running_mean", "0.running_var"]
+
+    @pytest.mark.parametrize("array, expected", [
+        (np.zeros(2, dtype=np.float32), np.float32),
+        (np.zeros(2, dtype=np.float64), np.float64),
+        (np.zeros(2, dtype=np.int64), np.float64),
+    ], ids=["float32_kept", "float64_kept", "int_promoted"])
+    def test_register_buffer_dtype(self, array, expected):
+        buffer = Module().register_buffer("stat", array)
+        assert buffer.dtype == expected
+
 
 class TestContainers:
     def test_sequential_applies_in_order(self, rng):
